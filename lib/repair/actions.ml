@@ -23,7 +23,6 @@ let nnc_positions_of ics =
 let insertions ~universe ~nnc_positions theta atom =
   let pred = Ic.Patom.pred atom in
   let terms = Ic.Patom.terms atom in
-  let non_null_universe = List.filter (fun v -> not (Value.is_null v)) universe in
   (* Collect the distinct existential variables together with whether any of
      their positions is NOT NULL-constrained. *)
   let existentials =
@@ -46,6 +45,13 @@ let insertions ~universe ~nnc_positions theta atom =
             (x, c || constrained) :: List.remove_assoc x acc)
       [] existentials
     |> List.rev
+  in
+  (* Only a NOT NULL-constrained existential ranges over the universe;
+     every other one takes [null], so skip the filter when none is. *)
+  let non_null_universe =
+    if List.exists snd existentials then
+      List.filter (fun v -> not (Value.is_null v)) universe
+    else []
   in
   let rec assignments theta = function
     | [] -> [ theta ]

@@ -9,11 +9,10 @@ type action = Actions.action = Delete of Atom.t | Insert of Atom.t
 let pp_action = Actions.pp_action
 let fixes = Actions.fixes
 
-module Iset = Set.Make (struct
-  type t = Instance.t
-
-  let compare = Instance.compare
-end)
+(* Search states are deduplicated by their delta from the search's base:
+   two states are equal iff their deltas are, and the deltas are small
+   atom sets, where comparing whole instances walks every relation. *)
+module Dset = Set.Make (Atom.Set)
 
 let search ?budget ?(max_states = 200_000) ?universe ?nnc_positions ?explored d
     ics =
@@ -29,15 +28,15 @@ let search ?budget ?(max_states = 200_000) ?universe ?nnc_positions ?explored d
     | Some n -> n
     | None -> Actions.nnc_positions_of ics
   in
-  let seen = ref Iset.empty in
+  let seen = ref Dset.empty in
   let consistent = ref [] in
   let count = match explored with Some r -> r := 0; r | None -> ref 0 in
   (* violations are tracked per constraint and recomputed only for the
      constraints mentioning the predicate an action touched — a constraint's
      violations depend solely on the tuples of its own predicates *)
-  let rec explore state per_ic =
-    if not (Iset.mem state !seen) then begin
-      seen := Iset.add state !seen;
+  let rec explore state delta per_ic =
+    if not (Dset.mem delta !seen) then begin
+      seen := Dset.add delta !seen;
       incr count;
       if !count > max_states then raise (Budget_exceeded max_states);
       (match budget with Some b -> Budget.tick_state b | None -> ());
@@ -58,9 +57,14 @@ let search ?budget ?(max_states = 200_000) ?universe ?nnc_positions ?explored d
           List.iter
             (fun act ->
               let state' = Actions.apply state act in
-              let touched =
-                match act with Delete a | Insert a -> Atom.pred a
+              (* every action changes the state: deletions remove a
+                 matched atom of [state], insertions add one it lacks *)
+              let a = match act with Delete a | Insert a -> a in
+              let delta' =
+                if Atom.Set.mem a delta then Atom.Set.remove a delta
+                else Atom.Set.add a delta
               in
+              let touched = Atom.pred a in
               let per_ic' =
                 List.map
                   (fun (ic, vs) ->
@@ -69,11 +73,11 @@ let search ?budget ?(max_states = 200_000) ?universe ?nnc_positions ?explored d
                     else (ic, vs))
                   per_ic
               in
-              explore state' per_ic')
+              explore state' delta' per_ic')
             actions
     end
   in
-  explore d (List.map (fun ic -> (ic, Nullsat.violations d ic)) ics);
+  explore d Atom.Set.empty (List.map (fun ic -> (ic, Nullsat.violations d ic)) ics);
   List.rev !consistent
 
 let consistent_states ?budget ?max_states d ics = search ?budget ?max_states d ics

@@ -17,29 +17,43 @@ let matches_non_null_positions a b =
   in
   go 0
 
-let leq ~d d' d'' =
-  let delta' = delta d d' and delta'' = delta d d'' in
-  Instance.fold
-    (fun a ok ->
-      ok
-      &&
-      if not (Atom.has_null a) then Instance.mem a delta''
-      else
-        Instance.mem a delta''
-        || Instance.fold
-             (fun b found ->
-               found
-               || (matches_non_null_positions a b && not (Instance.mem b delta')))
-             delta'' false)
-    delta' true
+let delta_set d d' = Instance.atom_set (delta d d')
 
-let lt ~d d' d'' = leq ~d d' d'' && not (leq ~d d'' d')
+(* Definition 6 on the deltas: [delta'] = Delta(D, D') and [delta''] =
+   Delta(D, D'').  This is the one definition of [<=_D]; everything below
+   decides it through here, so each candidate's delta is built once and
+   no instance is built per compared pair. *)
+let leq_delta delta' delta'' =
+  Atom.Set.for_all
+    (fun a ->
+      Atom.Set.mem a delta''
+      || Atom.has_null a
+         && Atom.Set.exists
+              (fun b ->
+                matches_non_null_positions a b && not (Atom.Set.mem b delta'))
+              delta'')
+    delta'
+
+let lt_delta delta' delta'' =
+  leq_delta delta' delta'' && not (leq_delta delta'' delta')
+
+let leq ~d d' d'' = leq_delta (delta_set d d') (delta_set d d'')
+let lt ~d d' d'' = lt_delta (delta_set d d') (delta_set d d'')
+
+let with_deltas ~d xs = List.map (fun x -> (x, delta_set d x)) xs
+
+let drop_beaten ~by candidates =
+  List.filter_map
+    (fun (x, dx) ->
+      if List.exists (fun (_, dy) -> lt_delta dy dx) by then None else Some x)
+    candidates
+
+let unbeaten ~d ~by candidates =
+  drop_beaten ~by:(with_deltas ~d by) (with_deltas ~d candidates)
 
 let minimal_among ~d candidates =
-  (* Dedup through the ordered comparator instead of pairwise [equal] scans:
-     [Instance.compare] is a cheap map comparison, and sorting keeps the
-     result deterministic for callers that print repair lists. *)
-  let uniq = List.sort_uniq Instance.compare candidates in
-  List.filter
-    (fun x -> not (List.exists (fun y -> lt ~d y x) uniq))
-    uniq
+  (* Dedup through the ordered comparator instead of pairwise [equal] scans;
+     sorting also keeps the result deterministic for callers that print
+     repair lists. *)
+  let uniq = with_deltas ~d (List.sort_uniq Instance.compare candidates) in
+  drop_beaten ~by:uniq uniq

@@ -21,7 +21,9 @@
     constants (Example 17: [R(b, null)] beats every [R(b, d)]). *)
 
 val leq : d:Relational.Instance.t -> Relational.Instance.t -> Relational.Instance.t -> bool
-(** [leq ~d d' d''] is [D' <=_D D'']. *)
+(** [leq ~d d' d''] is [D' <=_D D''].  Decided on [Delta(D, D')] and
+    [Delta(D, D'')] as atom sets, the single definition that {!lt},
+    {!minimal_among} and {!unbeaten} also use. *)
 
 val lt : d:Relational.Instance.t -> Relational.Instance.t -> Relational.Instance.t -> bool
 (** Strict: [leq d' d''] and not [leq d'' d']. *)
@@ -29,10 +31,22 @@ val lt : d:Relational.Instance.t -> Relational.Instance.t -> Relational.Instance
 val minimal_among :
   d:Relational.Instance.t -> Relational.Instance.t list -> Relational.Instance.t list
 (** The [<=_D]-minimal elements of a finite set of instances (duplicates
-    removed first).  Minimality is component-local when the candidates'
-    symmetric differences split over disjoint atom sets with no
-    cross-covering ({!matches_non_null_positions}), which is what lets
-    {!Decompose} filter per component instead of over the cross product. *)
+    removed first), sorted by [Instance.compare].  Each candidate's
+    [Delta(D, .)] is computed once, so [n] candidates cost [n] symmetric
+    differences plus [n^2] comparisons of small atom sets.  Minimality is
+    component-local when the candidates' symmetric differences split over
+    disjoint atom sets with no cross-covering
+    ({!matches_non_null_positions}), which is what lets {!Decompose} filter
+    per component instead of over the cross product. *)
+
+val unbeaten :
+  d:Relational.Instance.t ->
+  by:Relational.Instance.t list ->
+  Relational.Instance.t list ->
+  Relational.Instance.t list
+(** [unbeaten ~d ~by candidates] keeps, in order and with duplicates, the
+    candidates [x] such that no [y] in [by] has [lt ~d y x].  Deltas are
+    computed once per instance, as in {!minimal_among}. *)
 
 val matches_non_null_positions : Relational.Atom.t -> Relational.Atom.t -> bool
 (** Does the second atom agree with the first on every non-null position of

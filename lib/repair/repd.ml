@@ -32,6 +32,4 @@ let repairs_d ?max_states d ics =
           ics
       in
       let reps' = Enumerate.repairs ?max_states d ic' in
-      List.filter
-        (fun r -> not (List.exists (fun r' -> Order.lt ~d r' r) reps'))
-        reps
+      Order.unbeaten ~d ~by:reps' reps

@@ -473,6 +473,86 @@ let prop_order_transitive =
     (fun (d, a, b, c) ->
       if Order.leq ~d a b && Order.leq ~d b c then Order.leq ~d a c else true)
 
+(* Definition 6 over instance symmetric differences, pair by pair: the
+   oracle for the delta-once filters of Repair.Order. *)
+let oracle_leq ~d d' d'' =
+  let delta' = Instance.symdiff d d' and delta'' = Instance.symdiff d d'' in
+  Instance.fold
+    (fun a ok ->
+      ok
+      && (Instance.mem a delta''
+         || Atom.has_null a
+            && Instance.fold
+                 (fun b found ->
+                   found
+                   || Order.matches_non_null_positions a b
+                      && not (Instance.mem b delta'))
+                 delta'' false))
+    delta' true
+
+let oracle_lt ~d x y = oracle_leq ~d x y && not (oracle_leq ~d y x)
+
+let oracle_beaten ~d ~by x = List.exists (fun y -> oracle_lt ~d y x) by
+
+(* A base instance and candidates that each toggle a random subset of a
+   pool holding the base's atoms plus fresh ones, so deltas mix deletions
+   and insertions.  Values are null with probability 1/3 at every
+   position, which makes condition (b)'s covering and its "belongs to
+   Delta itself" disjunct both fire; re-drawn candidates add duplicates. *)
+let order_case_gen =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [ (1, return Value.null); (2, map (fun c -> Value.str (String.make 1 c)) (char_range 'a' 'b')) ]
+    in
+    let atom =
+      let* p, arity = oneofl [ ("P", 2); ("R", 2); ("T", 1) ] in
+      map (Atom.make p) (list_size (return arity) value)
+    in
+    let* d = map Instance.of_atoms (list_size (int_range 0 4) atom) in
+    let* fresh = list_size (int_range 1 5) atom in
+    let pool = Instance.atoms d @ fresh in
+    let toggle inst a =
+      if Instance.mem a inst then Instance.remove a inst else Instance.add a inst
+    in
+    let candidate =
+      map
+        (fun mask ->
+          List.fold_left2 (fun i a flip -> if flip then toggle i a else i) d pool mask)
+        (list_repeat (List.length pool) bool)
+    in
+    let candidates =
+      let* cs = list_size (int_range 0 8) candidate in
+      if cs = [] then return cs
+      else map (fun dups -> cs @ dups) (list_size (int_range 0 3) (oneofl cs))
+    in
+    triple (return d) candidates candidates)
+
+let order_case_arb =
+  let pp = Fmt.(brackets (list ~sep:semi Instance.pp_inline)) in
+  QCheck.make
+    ~print:(fun (d, cs, by) ->
+      Fmt.str "D = %a@.candidates = %a@.by = %a" Instance.pp_inline d pp cs pp by)
+    order_case_gen
+
+let prop_minimal_among_oracle =
+  QCheck.Test.make ~name:"minimal_among = pairwise symdiff filter" ~count:500
+    order_case_arb (fun (d, cs, _) ->
+      let uniq = List.sort_uniq Instance.compare cs in
+      let expected = List.filter (fun x -> not (oracle_beaten ~d ~by:uniq x)) uniq in
+      List.equal Instance.equal (Order.minimal_among ~d cs) expected
+      && List.for_all
+           (fun x ->
+             List.for_all (fun y -> Order.leq ~d x y = oracle_leq ~d x y) cs)
+           cs)
+
+let prop_unbeaten_oracle =
+  QCheck.Test.make ~name:"unbeaten = Rep_d's pairwise filter" ~count:500
+    order_case_arb (fun (d, cs, by) ->
+      List.equal Instance.equal
+        (Order.unbeaten ~d ~by cs)
+        (List.filter (fun x -> not (oracle_beaten ~d ~by x)) cs))
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -528,5 +608,7 @@ let () =
             prop_repairs_minimal;
             prop_consistent_fixpoint;
             prop_order_transitive;
+            prop_minimal_among_oracle;
+            prop_unbeaten_oracle;
           ] );
     ]
