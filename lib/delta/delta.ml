@@ -20,9 +20,10 @@ let apply ops d =
 let preds ops =
   List.sort_uniq String.compare (List.map (fun op -> Atom.pred (atom op)) ops)
 
-let effective ops d =
-  let d' = apply ops d in
+let net d d' =
   (Instance.atoms (Instance.diff d' d), Instance.atoms (Instance.diff d d'))
+
+let effective ops d = net d (apply ops d)
 
 let pp_op ppf = function
   | Insert a -> Fmt.pf ppf "+%a" Atom.pp a

@@ -36,5 +36,13 @@ val effective :
     a present atom, deleting an absent one) disappear; both lists are in
     the instance's sorted atom order. *)
 
+val net :
+  Relational.Instance.t -> Relational.Instance.t ->
+  Relational.Atom.t list * Relational.Atom.t list
+(** [net d d'] is [(inserted, deleted)] between two instances: the atoms of
+    [d'] absent from [d], and the atoms of [d] absent from [d'], in sorted
+    atom order — {!effective} for a batch already applied, so a caller
+    that needs the updated instance applies the batch once. *)
+
 val pp : t Fmt.t
 val pp_op : op Fmt.t

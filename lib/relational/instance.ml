@@ -172,9 +172,11 @@ let empty = mk Smap.empty
 let is_empty d = Smap.is_empty d.rels
 
 (* Below this many rows a relation stays a plain tuple set: the repair
-   search churns through thousands of tiny instances where interning and
-   column allocation would only cost. *)
-let seg_min = 8
+   search churns through thousands of tiny instances, and small loaded
+   relations are scanned faster than their columns and hash indexes are
+   built.  Measured with the bulk loader on files of 20-100 facts: 8 cost
+   more per request than keeping sets, 128 did not (DESIGN.md 5.9). *)
+let seg_min = 128
 
 let seg_row seg i =
   Array.init seg.arity (fun j -> Symtab.value seg.cols.(j).(i))

@@ -60,15 +60,11 @@ let phi_holds g theta =
   let lookup x = Assign.lookup_exn theta x in
   List.exists (Ic.Builtin.eval lookup) g.Ic.Constr.phi
 
-let null_escape g =
-  let relevant = Ic.Relevant.relevant_universal_vars g in
-  fun theta ->
-    List.exists
-      (fun x ->
-        match Assign.find theta x with
-        | Some v -> Value.is_null v
-        | None -> false)
-      relevant
+(* The pv test of one constraint, prepared once: [potential g theta] holds
+   when the antecedent match [theta] is a potential violation. *)
+let potential g =
+  let escape = Nullsat.null_escapes g in
+  fun theta -> not (escape theta || phi_holds g theta)
 
 (* Ground consequent atoms of [g] present in [d_ext] under [theta]
    (existential positions match any value). *)
@@ -79,23 +75,12 @@ let cons_witnesses d_ext g theta =
       |> List.map (fun theta' -> Ic.Patom.ground (Assign.lookup_exn theta') c))
     g.Ic.Constr.cons
 
-let iter_pvs d_ext ics ~f =
-  List.iter
-    (function
-      | Ic.Constr.NotNull _ -> ()
-      | Ic.Constr.Generic g ->
-          let escape = null_escape g in
-          Assign.iter_join_with_witness d_ext Assign.empty g.Ic.Constr.ante
-            ~f:(fun theta witness ->
-              if not (escape theta || phi_holds g theta) then f g theta witness))
-    ics
-
 (* ------------------------------------------------------------------ *)
 (* The conflict-component plan.
 
    Seeds are the actual violations of [d]: their matched tuples and every
    ground insertion candidate of their fixes form one class.  The closure
-   then repeatedly scans the potential violations of [d_ext]:
+   then grows the active set through the potential violations of [d_ext]:
 
    - a pv with a consequent witness in the untouched core can never fire
      (the witness is never deleted) — it is skipped;
@@ -112,96 +97,143 @@ let iter_pvs d_ext ics ~f =
    permanently satisfied by a core witness needs that witness present in
    the component's search instance, or the per-component search would see
    a spurious violation.  Support atoms are inert — no live pv mentions
-   them, so no repair action ever touches them. *)
+   them, so no repair action ever touches them.
 
-let plan ?budget d ics =
+   Both fixpoints are worklists over the atoms they add.  The closure is
+   monotone: the active set and [d_ext] only grow, and a pv's status or
+   node list changes only when one of its antecedent atoms or consequent
+   witnesses is newly activated (a core witness turning active, an
+   antecedent atom turning active, a fresh candidate completing a match or
+   joining the witness list).  So re-examining exactly the pvs that meet a
+   newly activated atom — antecedent-seeded and consequent-seeded joins
+   ({!Nullsat.iter_ante_seeded}, {!Nullsat.iter_cons_seeded}) — reaches the
+   same least fixpoint, and merges the same node lists, as rescanning
+   every pv until nothing changes.  Likewise a pv becomes matchable for
+   support only when its last antecedent atom enters the active-or-support
+   region, and its first core witness (in [cons_witnesses] order) is fixed
+   once the closure is done.  Each step costs joins seeded on one atom, so
+   a plan costs what the conflicts cost, not what the instance costs. *)
+
+let plan ?budget ?violations d ics =
   (* Planning carries no decision/state counter, so the budget contributes
-     its wall-clock deadline, probed once per fixpoint round. *)
+     its wall-clock deadline, probed once per worklist batch. *)
   let tick () =
     match budget with Some b -> Budget.check_deadline b | None -> ()
   in
+  let drain queue visit =
+    tick ();
+    while not (Queue.is_empty queue) do
+      let batch = List.of_seq (Queue.to_seq queue) in
+      Queue.clear queue;
+      List.iter visit batch;
+      tick ()
+    done
+  in
   let universe = Candidates.universe d ics in
   let nnc_positions = Actions.nnc_positions_of ics in
+  let generics =
+    List.concat
+      (List.mapi
+         (fun i -> function
+           | Ic.Constr.Generic g -> [ (i, g, potential g) ]
+           | Ic.Constr.NotNull _ -> [])
+         ics)
+  in
+  let inserts g theta =
+    List.concat_map
+      (Actions.insertions ~universe ~nnc_positions theta)
+      g.Ic.Constr.cons
+  in
   let uf = uf_create () in
   let active = ref Atom.Set.empty in
   let d_ext = ref d in
+  let fresh = Queue.create () in
   let activate nodes =
-    let fresh =
-      List.filter (fun a -> not (Atom.Set.mem a !active)) nodes
-    in
     List.iter
       (fun a ->
-        active := Atom.Set.add a !active;
-        if not (Instance.mem a !d_ext) then d_ext := Instance.add a !d_ext)
-      fresh;
-    uf_merge_all uf nodes;
-    fresh <> []
+        if not (Atom.Set.mem a !active) then begin
+          active := Atom.Set.add a !active;
+          if not (Instance.mem a !d_ext) then d_ext := Instance.add a !d_ext;
+          Queue.add a fresh
+        end)
+      nodes;
+    uf_merge_all uf nodes
   in
+  let is_core a = Instance.mem a d && not (Atom.Set.mem a !active) in
   (* Seeds: the actual violations of d. *)
   List.iter
-    (fun ic ->
+    (fun (v : Nullsat.violation) ->
+      let inserts =
+        match v.Nullsat.ic with
+        | Ic.Constr.NotNull _ -> []
+        | Ic.Constr.Generic g -> inserts g v.Nullsat.theta
+      in
+      activate (v.Nullsat.matched @ inserts))
+    (match violations with Some vs -> vs | None -> Nullsat.check d ics);
+  (* Closure of the active set under cascades.  Every visit is seeded by
+     an active atom — an antecedent atom or a consequent witness of the
+     pv — so a visited pv is live; it fires unless a core witness blocks
+     it.  Visits are memoized per pv (constraint, antecedent match): a
+     fired pv stays fired, so a revisit only merges the atom that seeded
+     it; a blocked pv stays blocked until its core witness is activated,
+     and that witness's own consequent seed revisits it.  Without the memo
+     a pv whose witnesses range over the universe (Example 20) would be
+     re-evaluated once per insertion candidate. *)
+  let fired : (int * Atom.t list, Atom.t) Hashtbl.t = Hashtbl.create 64 in
+  let blocked :
+      (int * Atom.t list, Ic.Constr.generic * Assign.t * Atom.t) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  drain fresh (fun a ->
       List.iter
-        (fun (v : Nullsat.violation) ->
-          let inserts =
-            match v.Nullsat.ic with
-            | Ic.Constr.NotNull _ -> []
-            | Ic.Constr.Generic g ->
-                List.concat_map
-                  (Actions.insertions ~universe ~nnc_positions v.Nullsat.theta)
-                  g.Ic.Constr.cons
+        (fun (i, g, potential) ->
+          let f theta witness =
+            if potential theta then
+              let key = (i, witness) in
+              match Hashtbl.find_opt fired key with
+              | Some node -> uf_union uf a node
+              | None -> (
+                  match Hashtbl.find_opt blocked key with
+                  | Some (_, _, w) when is_core w -> ()
+                  | _ -> (
+                      let witnesses = cons_witnesses !d_ext g theta in
+                      match List.find_opt is_core witnesses with
+                      | Some w -> Hashtbl.replace blocked key (g, theta, w)
+                      | None ->
+                          Hashtbl.remove blocked key;
+                          Hashtbl.replace fired key a;
+                          activate (witness @ witnesses @ inserts g theta)))
           in
-          ignore (activate (v.Nullsat.matched @ inserts)))
-        (Nullsat.violations d ic))
-    ics;
-  (* Closure of the active set under cascades. *)
-  let changed = ref (not (Atom.Set.is_empty !active)) in
-  while !changed do
-    tick ();
-    changed := false;
-    let snapshot = !d_ext in
-    iter_pvs snapshot ics ~f:(fun g theta witness ->
-        let witnesses = cons_witnesses snapshot g theta in
-        let is_core a = Instance.mem a d && not (Atom.Set.mem a !active) in
-        if not (List.exists is_core witnesses) then begin
-          let live =
-            List.exists (fun a -> Atom.Set.mem a !active) witness
-            || witnesses <> []
-          in
-          if live then begin
-            let inserts =
-              List.concat_map
-                (Actions.insertions ~universe ~nnc_positions theta)
-                g.Ic.Constr.cons
-            in
-            if activate (witness @ witnesses @ inserts) then changed := true
-          end
-        end)
-  done;
-  (* Support: core witnesses keeping otherwise-matchable pvs satisfied. *)
+          Nullsat.iter_ante_seeded !d_ext g a ~f;
+          Nullsat.iter_cons_seeded !d_ext g a ~f)
+        generics);
+  let active = !active and d_ext = !d_ext in
+  (* Support: core witnesses keeping otherwise-matchable pvs satisfied.
+     The closure visited every pv whose antecedent is entirely active and
+     left exactly those with a core witness blocked, so they seed the
+     support worklist; each new support atom then seeds the pvs it
+     completes. *)
   let support = ref Instance.empty in
-  let support_changed = ref true in
-  while !support_changed do
-    tick ();
-    support_changed := false;
-    iter_pvs !d_ext ics ~f:(fun g theta witness ->
-        let matchable =
-          List.for_all
-            (fun a -> Atom.Set.mem a !active || Instance.mem a !support)
-            witness
-        in
-        if matchable then
-          let witnesses = cons_witnesses !d_ext g theta in
-          let core_witness =
-            List.find_opt
-              (fun a -> Instance.mem a d && not (Atom.Set.mem a !active))
-              witnesses
-          in
-          match core_witness with
-          | Some w when not (Instance.mem w !support) ->
-              support := Instance.add w !support;
-              support_changed := true
-          | _ -> ())
-  done;
+  let added = Queue.create () in
+  let note g theta =
+    match List.find_opt is_core (cons_witnesses d_ext g theta) with
+    | Some w when not (Instance.mem w !support) ->
+        support := Instance.add w !support;
+        Queue.add w added
+    | _ -> ()
+  in
+  Hashtbl.iter
+    (fun (_, witness) (g, theta, _) ->
+      if List.for_all (fun a -> Atom.Set.mem a active) witness then note g theta)
+    blocked;
+  let in_region a = Atom.Set.mem a active || Instance.mem a !support in
+  drain added (fun w ->
+      List.iter
+        (fun (_, g, potential) ->
+          Nullsat.iter_ante_seeded d_ext g w ~f:(fun theta witness ->
+              if potential theta && List.for_all in_region witness then
+                note g theta))
+        generics);
   (* Extract components in a deterministic order. *)
   let classes : (Atom.t, Atom.Set.t) Hashtbl.t = Hashtbl.create 16 in
   Atom.Set.iter
@@ -211,7 +243,7 @@ let plan ?budget d ics =
         Option.value ~default:Atom.Set.empty (Hashtbl.find_opt classes r)
       in
       Hashtbl.replace classes r (Atom.Set.add a prev))
-    !active;
+    active;
   let components =
     Hashtbl.fold (fun _ atoms acc -> atoms :: acc) classes []
     |> List.sort (fun a b -> Atom.compare (Atom.Set.min_elt a) (Atom.Set.min_elt b))
@@ -238,7 +270,9 @@ let plan ?budget d ics =
              ics;
            })
   in
-  let core = Instance.filter (fun a -> not (Atom.Set.mem a !active)) d in
+  (* [d] minus the active atoms, as an overlay on [d]'s segments: the core
+     keeps their built indexes instead of being a fresh copy. *)
+  let core = Atom.Set.fold Instance.remove active d in
   (* Product exactness: per-component minimality implies global minimality
      unless a null-carrying atom of one component could cover (condition
      (b) of <=_D) an atom of another — only then can a cross product of

@@ -54,9 +54,23 @@ type plan = {
           locally minimal repairs are exactly the globally minimal ones *)
 }
 
-val plan : ?budget:Budget.ctl -> Relational.Instance.t -> Ic.Constr.t list -> plan
-(** [budget] contributes its wall-clock deadline to the closure fixpoints
-    (planning has no decision/state counter of its own).
+val plan :
+  ?budget:Budget.ctl ->
+  ?violations:Semantics.Nullsat.violation list ->
+  Relational.Instance.t ->
+  Ic.Constr.t list ->
+  plan
+(** [plan d ics] seeds the conflict graph with the violations of [d] —
+    [violations] when given (any order; the session engine passes the set
+    it keeps up to date), else [Nullsat.check d ics] — and closes it with
+    two worklist fixpoints: every newly activated atom (then every new
+    support atom) re-examines only the potential violations it meets,
+    through joins seeded on that atom.  Beyond the seed check and
+    Proposition 1's universe, a plan therefore costs index probes
+    proportional to the conflict region, not to [d]; [core] is [d] minus
+    the active atoms as an overlay sharing [d]'s segments and indexes.
+    [budget] contributes its wall-clock deadline, probed once per worklist
+    batch (planning has no decision/state counter of its own).
     @raise Budget.Exhausted on deadline; engine APIs convert it to
     [Error]. *)
 

@@ -20,6 +20,16 @@ let consequent_holds d g theta =
   List.exists (fun atom -> Assign.exists_match d theta atom) g.Ic.Constr.cons
   || phi_holds g theta
 
+let null_escapes g =
+  let relevant = Ic.Relevant.relevant_universal_vars g in
+  fun theta ->
+    List.exists
+      (fun x ->
+        match Assign.find theta x with
+        | Some v -> Value.is_null v
+        | None -> false)
+      relevant
+
 (* Generic constraint: a total antecedent match violates unless a relevant
    universal variable is bound to null (the IsNull disjuncts of formula (4))
    or the consequent holds.  Consequent existence tests are prepared once
@@ -29,7 +39,7 @@ let consequent_holds d g theta =
    (consistency checks, admission checks) abort after one match instead of
    materializing every violation. *)
 let iter_generic_violations d g ic ~f =
-  let relevant = Ic.Relevant.relevant_universal_vars g in
+  let null_escape = null_escapes g in
   let universal = Ic.Constr.universal_vars g in
   let checkers =
     List.map (Assign.prepared_exists d ~bound:universal) g.Ic.Constr.cons
@@ -39,15 +49,7 @@ let iter_generic_violations d g ic ~f =
   in
   Assign.iter_join_with_witness d Assign.empty g.Ic.Constr.ante
     ~f:(fun theta witness ->
-      let null_escape =
-        List.exists
-          (fun x ->
-            match Assign.find theta x with
-            | Some v -> Value.is_null v
-            | None -> false)
-          relevant
-      in
-      if not (null_escape || fast_consequent theta) then
+      if not (null_escape theta || fast_consequent theta) then
         f { ic; theta; matched = witness })
 
 let generic_violations d g ic =
@@ -146,18 +148,62 @@ let canonical_violations vs = List.sort_uniq compare_violation vs
 (* ------------------------------------------------------------------ *)
 (* Admission checking *)
 
-(* Violations of a generic constraint that involve one given ground atom,
-   computed by {e seeding} the antecedent join instead of enumerating every
-   violation and filtering: for each antecedent position whose predicate
-   matches, unify the atom against it, and run the join from the resulting
-   partial assignment — the index probes of [Assign] then restrict every
-   other antecedent atom to the seed's bindings.  The same match can be
-   reached from several seed positions, so callers deduplicate
-   ({!canonical_violations}). *)
-let iter_seeded_violations d g ic atom ~f =
+(* Seeded joins.  The incremental paths never enumerate a constraint's
+   whole antecedent join; they start it from the bindings one ground atom
+   forces, and the index probes of [Assign] then restrict every other
+   antecedent atom to those bindings.
+
+   - [iter_ante_seeded]: matches that use the atom in the antecedent.  For
+     each antecedent position whose predicate matches, unify the atom
+     against it and run the join from the resulting partial assignment.
+   - [iter_cons_seeded]: matches whose consequent the atom could witness.
+     Unifying the atom against a consequent atom and restricting to the
+     constraint's universal variables yields exactly the bindings the
+     witness can serve (existential positions are free); the antecedent
+     join runs from that restriction.  The atom need not be present.
+
+   The same match can be reached from several seed positions, so callers
+   deduplicate (or, like the planner, are idempotent). *)
+let iter_ante_seeded d g atom ~f =
   let pred = Relational.Atom.pred atom in
   let args = Relational.Atom.args atom in
-  let relevant = Ic.Relevant.relevant_universal_vars g in
+  (* the seeded position is matched by the atom itself, so only the other
+     antecedent atoms are joined — on a relation without a segment index
+     that saves a scan per seed *)
+  let rec insert_at i xs =
+    if i = 0 then atom :: xs
+    else match xs with x :: rest -> x :: insert_at (i - 1) rest | [] -> [ atom ]
+  in
+  if Instance.mem atom d then
+    List.iteri
+      (fun i ante_atom ->
+        if String.equal (Ic.Patom.pred ante_atom) pred then
+          match Assign.match_tuple Assign.empty (Ic.Patom.terms ante_atom) args with
+          | None -> ()
+          | Some seed ->
+              Assign.iter_join_with_witness d seed
+                (List.filteri (fun j _ -> j <> i) g.Ic.Constr.ante)
+                ~f:(fun theta witness -> f theta (insert_at i witness)))
+      g.Ic.Constr.ante
+
+let iter_cons_seeded d g atom ~f =
+  let pred = Relational.Atom.pred atom in
+  let args = Relational.Atom.args atom in
+  let universal = Ic.Constr.universal_vars g in
+  List.iter
+    (fun cons_atom ->
+      if String.equal (Ic.Patom.pred cons_atom) pred then
+        match Assign.match_tuple Assign.empty (Ic.Patom.terms cons_atom) args with
+        | None -> ()
+        | Some theta0 ->
+            Assign.iter_join_with_witness d
+              (Assign.restrict theta0 universal)
+              g.Ic.Constr.ante ~f)
+    g.Ic.Constr.cons
+
+(* Violations of a generic constraint that involve one given ground atom:
+   the antecedent-seeded matches that pass the violation test. *)
+let iter_seeded_violations d g ic atom ~f =
   let universal = Ic.Constr.universal_vars g in
   let checkers =
     List.map (Assign.prepared_exists d ~bound:universal) g.Ic.Constr.cons
@@ -165,27 +211,10 @@ let iter_seeded_violations d g ic atom ~f =
   let fast_consequent theta =
     List.exists (fun check -> check theta) checkers || phi_holds g theta
   in
-  let null_escape theta =
-    List.exists
-      (fun x ->
-        match Assign.find theta x with
-        | Some v -> Value.is_null v
-        | None -> false)
-      relevant
-  in
-  List.iter
-    (fun ante_atom ->
-      if String.equal (Ic.Patom.pred ante_atom) pred then
-        match Assign.match_tuple Assign.empty (Ic.Patom.terms ante_atom) args with
-        | None -> ()
-        | Some seed ->
-            Assign.iter_join_with_witness d seed g.Ic.Constr.ante
-              ~f:(fun theta witness ->
-                if
-                  List.exists (Relational.Atom.equal atom) witness
-                  && not (null_escape theta || fast_consequent theta)
-                then f { ic; theta; matched = witness }))
-    g.Ic.Constr.ante
+  let null_escape = null_escapes g in
+  iter_ante_seeded d g atom ~f:(fun theta witness ->
+      if not (null_escape theta || fast_consequent theta) then
+        f { ic; theta; matched = witness })
 
 (* One seeded pass per relevant constraint, instead of materializing every
    violation of every constraint and filtering afterwards.  Constraints
@@ -317,37 +346,13 @@ let check_delta ~before ~inserted ~deleted d ics =
                   else [])
                 inserted
             in
-            let universal = Ic.Constr.universal_vars g in
+            let null_escape = null_escapes g in
             let orphans = ref [] in
             List.iter
               (fun a ->
-                let pred = Relational.Atom.pred a in
-                List.iter
-                  (fun cons_atom ->
-                    if String.equal (Ic.Patom.pred cons_atom) pred then
-                      match
-                        Assign.match_tuple Assign.empty
-                          (Ic.Patom.terms cons_atom)
-                          (Relational.Atom.args a)
-                      with
-                      | None -> ()
-                      | Some theta0 ->
-                          let seed = Assign.restrict theta0 universal in
-                          let relevant = Ic.Relevant.relevant_universal_vars g in
-                          Assign.iter_join_with_witness d seed g.Ic.Constr.ante
-                            ~f:(fun theta witness ->
-                              let null_escape =
-                                List.exists
-                                  (fun x ->
-                                    match Assign.find theta x with
-                                    | Some v -> Value.is_null v
-                                    | None -> false)
-                                  relevant
-                              in
-                              if not (null_escape || consequent_holds d g theta)
-                              then
-                                orphans := { ic; theta; matched = witness } :: !orphans))
-                  g.Ic.Constr.cons)
+                iter_cons_seeded d g a ~f:(fun theta witness ->
+                    if not (null_escape theta || consequent_holds d g theta)
+                    then orphans := { ic; theta; matched = witness } :: !orphans))
               deleted;
             kept @ from_inserts @ !orphans
           end

@@ -81,6 +81,43 @@ val check_delta :
     result equals [canonical_violations (check d ics)] (property-tested),
     in canonical order. *)
 
+(** {2 Seeded joins}
+
+    The incremental paths — admission checks, {!check_delta}, the repair
+    planner's worklist closure — start a constraint's antecedent join from
+    the bindings one ground atom forces instead of enumerating it whole.
+    A match reachable from several seed positions is reported once per
+    position; callers deduplicate. *)
+
+val iter_ante_seeded :
+  Relational.Instance.t ->
+  Ic.Constr.generic ->
+  Relational.Atom.t ->
+  f:(Assign.t -> Relational.Atom.t list -> unit) ->
+  unit
+(** [iter_ante_seeded d g a ~f] calls [f theta witness] for every
+    antecedent match of [g] over [d] whose matched tuples ([witness], in
+    antecedent order) include [a]: the atom is unified with each
+    antecedent atom of its predicate and the join runs from there. *)
+
+val iter_cons_seeded :
+  Relational.Instance.t ->
+  Ic.Constr.generic ->
+  Relational.Atom.t ->
+  f:(Assign.t -> Relational.Atom.t list -> unit) ->
+  unit
+(** [iter_cons_seeded d g a ~f] calls [f theta witness] for every
+    antecedent match of [g] over [d] whose consequent [a] could witness:
+    the atom is unified with each consequent atom of its predicate, the
+    bindings are restricted to the universal variables, and the
+    antecedent join runs from that restriction.  [a] need not be in [d]. *)
+
+val null_escapes : Ic.Constr.generic -> Assign.t -> bool
+(** [null_escapes g theta]: some relevant universal variable of [g] is
+    bound to [null] — the [IsNull] disjuncts of formula (4) hold and the
+    match cannot violate.  Partially apply to prepare it once per
+    constraint. *)
+
 val consequent_holds :
   Relational.Instance.t -> Ic.Constr.generic -> Assign.t -> bool
 (** Does the consequent of the (generic) constraint hold under a total

@@ -195,11 +195,11 @@ let consistent t = t.violations = []
 
 let apply t ops =
   t.deltas <- t.deltas + 1;
-  let inserted, deleted = Delta.effective ops t.d in
+  let d' = Delta.apply ops t.d in
+  let inserted, deleted = Delta.net t.d d' in
   match (inserted, deleted) with
   | [], [] -> ()
   | _ ->
-      let d' = Delta.apply ops t.d in
       let vs, ds =
         Nullsat.check_delta ~before:t.violations ~inserted ~deleted d' t.ics
       in
@@ -235,7 +235,7 @@ let with_plan ?budget t f =
     match t.plan with
     | Some p -> p
     | None ->
-        let p = Decompose.plan ?budget t.d t.ics in
+        let p = Decompose.plan ?budget ~violations:t.violations t.d t.ics in
         t.plan_rebuilds <- t.plan_rebuilds + 1;
         t.plan <- Some p;
         p

@@ -231,6 +231,63 @@ let test_emit_repair_is_consistent_file () =
             (Semantics.Nullsat.consistent l'.Load.instance l'.Load.ics))
     reps
 
+(* ------------------------------------------------------------------ *)
+(* Bulk loading.  The loader collects a file's facts and builds the
+   instance once with [Instance.of_atoms]; the result must be
+   indistinguishable from adding the facts one by one — equal as sets, the
+   same [atoms] order, byte-identical [pp] — and so must [final_instance]
+   after the file's insert/delete statements.  Files mix duplicate facts,
+   nulls, a [P] relation that often exceeds the segment threshold (128
+   rows) and updates on both segment rows and small relations. *)
+
+let loader_case_gen =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (1, return Value.null);
+          (4, map Value.int (int_range 0 60));
+          (2, map (fun c -> Value.str (String.make 1 c)) (char_range 'a' 'e'));
+        ]
+    in
+    let atom (p, n) = map (Relational.Atom.make p) (list_repeat n value) in
+    let* big = list_size (int_range 0 400) (atom ("P", 2)) in
+    let* small = list_size (int_range 0 12) (oneof [ atom ("Q", 1); atom ("R", 3) ]) in
+    let* dups = int_range 0 10 in
+    let facts = big @ small in
+    let facts = facts @ List.filteri (fun i _ -> i < dups) facts in
+    let existing = if facts = [] then atom ("Q", 1) else oneofl facts in
+    let* updates =
+      list_size (int_range 0 20)
+        (pair bool (oneof [ existing; atom ("P", 2); atom ("Q", 1) ]))
+    in
+    return (facts, updates))
+
+let loader_text (facts, updates) =
+  String.concat "\n"
+    (List.map Lang.Emit.fact facts
+    @ List.map
+        (fun (ins, a) -> (if ins then "insert " else "delete ") ^ Lang.Emit.fact a)
+        updates)
+
+let prop_bulk_load_matches_adds =
+  QCheck.Test.make ~name:"bulk load = fact-by-fact add (100 files)" ~count:100
+    (QCheck.make ~print:loader_text loader_case_gen)
+    (fun ((facts, updates) as case) ->
+      let l = load (loader_text case) in
+      let by_add = List.fold_left (fun d a -> Instance.add a d) Instance.empty facts in
+      let final_by_add =
+        List.fold_left
+          (fun d (ins, a) -> if ins then Instance.add a d else Instance.remove a d)
+          by_add updates
+      in
+      let same a b =
+        Instance.equal a b
+        && List.equal Relational.Atom.equal (Instance.atoms a) (Instance.atoms b)
+        && String.equal (Fmt.str "%a" Instance.pp a) (Fmt.str "%a" Instance.pp b)
+      in
+      same l.Load.instance by_add && same (Load.final_instance l) final_by_add)
+
 let () =
   Alcotest.run "lang"
     [
@@ -249,4 +306,5 @@ let () =
           Alcotest.test_case "emit values" `Quick test_emit_values;
           Alcotest.test_case "emit repairs" `Quick test_emit_repair_is_consistent_file;
         ] );
+      ("loader", [ QCheck_alcotest.to_alcotest prop_bulk_load_matches_adds ]);
     ]

@@ -299,20 +299,45 @@ let prop_hash_discriminates_constructors =
    printed form byte for byte and the sign of [compare], which the repair
    engine's canonical orders rest on.  The generator crosses the
    representation's regimes on purpose: a bulk [of_atoms] build (segment-
-   backed once a predicate holds >= 8 rows), incremental additions (the
+   backed once a predicate holds [seg_min] rows), incremental additions (the
    extra overlay), and removals of both segment rows (the deletion
-   overlay) and freshly added ones. *)
+   overlay) and freshly added ones.  Small drawn instances stay plain
+   sets, so one case in four adds, per predicate with probability 1/2, a
+   bulk block of [seg_min + 72 .. seg_min + 192] atoms over a wider value
+   domain — enough distinct rows to cross the threshold even for the
+   unary [Q] — while still sharing the small domain the extras and probes
+   draw from. *)
 
 module Naive = Instance.Naive
 
+(* [Instance]'s segment threshold: bulk-built relations with fewer rows
+   stay overlay sets. *)
+let seg_min = 128
+
+let bulk_gen =
+  QCheck.Gen.(
+    let wide = frequency [ (1, value_gen); (3, map Value.int (int_range 0 999)) ] in
+    let rel (name, arity) =
+      let* on = bool in
+      if not on then return []
+      else
+        list_size
+          (int_range (seg_min + 72) (seg_min + 192))
+          (map (fun t -> Atom.of_tuple name (Tuple.make t)) (list_repeat arity wide))
+    in
+    let* p = rel ("P", 2) in
+    let* q = rel ("Q", 1) in
+    let* r = rel ("R", 3) in
+    return (p @ q @ r))
+
 let script_gen =
   QCheck.Gen.(
-    let* base = list_size (int_range 0 40) atom_gen in
+    let* small = list_size (int_range 0 40) atom_gen in
+    let* bulk = frequency [ (3, return []); (1, bulk_gen) ] in
+    let base = small @ bulk in
     let* extras = list_size (int_range 0 10) atom_gen in
-    let* mask = list_repeat (List.length base) bool in
-    let removes =
-      List.filteri (fun i _ -> List.nth mask i) base
-    in
+    let* mask = array_repeat (List.length base) bool in
+    let removes = List.filteri (fun i _ -> mask.(i)) base in
     return (base, extras, removes))
 
 let script_print (base, extras, removes) =
